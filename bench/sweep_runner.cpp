@@ -281,12 +281,13 @@ SweepRunner::run()
     phases_.generateSeconds = secondsSince(genStart);
 
     // Phase 1.5: one signature-table build per (benchmark, mode). The
-    // first mode of a benchmark pays the CFG derivation and the per-block
-    // hashing; later modes reuse both through the donor. Plans build
-    // independently, so fan out across benchmarks. The statics of a plan
-    // ride along here: with default split limits and a single-module
-    // program, the prototype's main-module CFG is exactly the CFG the
-    // statics are derived from, so it is not derived twice.
+    // first mode of a benchmark derives and links the CFGs and hashes the
+    // blocks; later modes share that immutable analysis through the
+    // donor, and every job's Simulator clones its prototype shallowly.
+    // Plans build independently, so fan out across benchmarks. The
+    // statics of a plan ride along here: with default split limits and a
+    // single-module program, the prototype's main-module CFG is exactly
+    // the CFG the statics are derived from, so it is not derived twice.
     std::vector<std::size_t> protoIdx;
     for (std::size_t i = 0; i < plans.size(); ++i)
         if (plans[i]->program)
@@ -321,7 +322,7 @@ SweepRunner::run()
                 plan.program->modules().size() == 1 &&
                 plan.protoParams->limits == prog::SplitLimits{})
                 main_cfg =
-                    &plan.protos.begin()->second->moduleSigs().front().cfg;
+                    plan.protos.begin()->second->moduleSigs().front().cfg;
             plan.statics = computeStatics(*plan.program, main_cfg);
         }
     });

@@ -50,6 +50,8 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
                            proto.hashRounds() == cfg_.rev.chg.hashRounds,
                        "sigStorePrototype was built with different "
                        "validation parameters");
+            // Shallow: the copy shares the prototype's CFGs, hashes and
+            // table images; only a later rebuild() replaces them.
             store_ = std::make_shared<sig::SigStore>(proto);
             store_->rebindVault(vault_);
         } else {

@@ -94,12 +94,14 @@ struct SimConfig
     /**
      * Optional pre-built signature store to clone instead of deriving the
      * CFGs and building the tables from scratch (the most expensive part
-     * of constructing a Simulator). The prototype must have been built
-     * for the same program with the same mode, seeds, split limits, and
-     * hash rounds — the table build is deterministic in those inputs, so
-     * cloning yields byte-identical tables and therefore identical
-     * simulated statistics. The benchmark sweep uses this to share one
-     * build across configs that differ only in timing parameters.
+     * of constructing a Simulator). The clone is shallow: it shares the
+     * prototype's immutable analysis and table images. The prototype
+     * must have been built for the same program with the same mode,
+     * seeds, split limits, and hash rounds — the table build is
+     * deterministic in those inputs, so cloning yields byte-identical
+     * tables and therefore identical simulated statistics. The benchmark
+     * sweep uses this to share one build across configs that differ only
+     * in timing parameters.
      */
     const sig::SigStore *sigStorePrototype = nullptr;
 

@@ -8,7 +8,7 @@ namespace rev::crypto
 namespace
 {
 
-const u8 kSbox[256] = {
+constexpr u8 kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
     0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
@@ -40,10 +40,46 @@ bool invSboxInitDone = []() {
     return true;
 }();
 
-inline u8
+constexpr u8
 xtime(u8 x)
 {
     return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+/**
+ * Encryption T-tables: kTe[r][x] is column (2.S[x], S[x], S[x], 3.S[x])
+ * rotated right by 8r bits, big-endian (row 0 in the top byte). One round
+ * of SubBytes + ShiftRows + MixColumns on a column is then four lookups
+ * and four XORs.
+ */
+constexpr std::array<std::array<u32, 256>, 4> kTe = [] {
+    std::array<std::array<u32, 256>, 4> te{};
+    for (int x = 0; x < 256; ++x) {
+        const u8 s = kSbox[x];
+        const u8 s2 = xtime(s);
+        const u8 s3 = static_cast<u8>(s2 ^ s);
+        u32 w = (u32{s2} << 24) | (u32{s} << 16) | (u32{s} << 8) | s3;
+        for (int r = 0; r < 4; ++r) {
+            te[r][x] = w;
+            w = (w >> 8) | (w << 24);
+        }
+    }
+    return te;
+}();
+
+u32
+load32be(const u8 *p)
+{
+    return (u32{p[0]} << 24) | (u32{p[1]} << 16) | (u32{p[2]} << 8) | p[3];
+}
+
+void
+store32be(u8 *p, u32 v)
+{
+    p[0] = static_cast<u8>(v >> 24);
+    p[1] = static_cast<u8>(v >> 16);
+    p[2] = static_cast<u8>(v >> 8);
+    p[3] = static_cast<u8>(v);
 }
 
 /** GF(2^8) multiply. */
@@ -61,13 +97,6 @@ gmul(u8 a, u8 b)
 }
 
 void
-subBytes(u8 *s)
-{
-    for (int i = 0; i < 16; ++i)
-        s[i] = kSbox[s[i]];
-}
-
-void
 invSubBytes(u8 *s)
 {
     for (int i = 0; i < 16; ++i)
@@ -76,16 +105,6 @@ invSubBytes(u8 *s)
 
 // State is column-major: s[4*col + row].
 void
-shiftRows(u8 *s)
-{
-    u8 t[16];
-    std::memcpy(t, s, 16);
-    for (int c = 0; c < 4; ++c)
-        for (int r = 0; r < 4; ++r)
-            s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-}
-
-void
 invShiftRows(u8 *s)
 {
     u8 t[16];
@@ -93,19 +112,6 @@ invShiftRows(u8 *s)
     for (int c = 0; c < 4; ++c)
         for (int r = 0; r < 4; ++r)
             s[4 * ((c + r) % 4) + r] = t[4 * c + r];
-}
-
-void
-mixColumns(u8 *s)
-{
-    for (int c = 0; c < 4; ++c) {
-        u8 *col = s + 4 * c;
-        const u8 a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<u8>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        col[1] = static_cast<u8>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        col[2] = static_cast<u8>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        col[3] = static_cast<u8>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-    }
 }
 
 void
@@ -121,61 +127,81 @@ invMixColumns(u8 *s)
     }
 }
 
+/** XOR round key @p rk (four big-endian column words) into @p s. */
 void
-addRoundKey(u8 *s, const u8 *rk)
+addRoundKey(u8 *s, const u32 *rk)
 {
-    for (int i = 0; i < 16; ++i)
-        s[i] ^= rk[i];
+    for (int c = 0; c < 4; ++c)
+        store32be(s + 4 * c, load32be(s + 4 * c) ^ rk[c]);
 }
 
 } // namespace
 
 Aes128::Aes128(const AesKey &key)
 {
-    // FIPS-197 key expansion for Nk=4, Nr=10.
-    std::memcpy(roundKeys_.data(), key.data(), 16);
+    // FIPS-197 key expansion for Nk=4, Nr=10, one word per column.
+    for (int i = 0; i < 4; ++i)
+        roundKeys_[i] = load32be(key.data() + 4 * i);
     u8 rcon = 1;
     for (int i = 4; i < 44; ++i) {
-        u8 temp[4];
-        std::memcpy(temp, roundKeys_.data() + 4 * (i - 1), 4);
+        u32 temp = roundKeys_[i - 1];
         if (i % 4 == 0) {
             // RotWord + SubWord + Rcon
-            const u8 t0 = temp[0];
-            temp[0] = static_cast<u8>(kSbox[temp[1]] ^ rcon);
-            temp[1] = kSbox[temp[2]];
-            temp[2] = kSbox[temp[3]];
-            temp[3] = kSbox[t0];
+            temp = (u32{kSbox[(temp >> 16) & 0xff]} << 24) |
+                   (u32{kSbox[(temp >> 8) & 0xff]} << 16) |
+                   (u32{kSbox[temp & 0xff]} << 8) | kSbox[temp >> 24];
+            temp ^= u32{rcon} << 24;
             rcon = xtime(rcon);
         }
-        for (int b = 0; b < 4; ++b)
-            roundKeys_[4 * i + b] =
-                static_cast<u8>(roundKeys_[4 * (i - 4) + b] ^ temp[b]);
+        roundKeys_[i] = roundKeys_[i - 4] ^ temp;
     }
 }
 
 void
 Aes128::encryptBlock(u8 *block) const
 {
-    addRoundKey(block, roundKeys_.data());
+    const u32 *rk = roundKeys_.data();
+    u32 s0 = load32be(block) ^ rk[0];
+    u32 s1 = load32be(block + 4) ^ rk[1];
+    u32 s2 = load32be(block + 8) ^ rk[2];
+    u32 s3 = load32be(block + 12) ^ rk[3];
+    const auto &t0 = kTe[0], &t1 = kTe[1], &t2 = kTe[2], &t3 = kTe[3];
     for (int r = 1; r <= 9; ++r) {
-        subBytes(block);
-        shiftRows(block);
-        mixColumns(block);
-        addRoundKey(block, roundKeys_.data() + 16 * r);
+        rk += 4;
+        const u32 n0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xff] ^
+                       t2[(s2 >> 8) & 0xff] ^ t3[s3 & 0xff] ^ rk[0];
+        const u32 n1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xff] ^
+                       t2[(s3 >> 8) & 0xff] ^ t3[s0 & 0xff] ^ rk[1];
+        const u32 n2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xff] ^
+                       t2[(s0 >> 8) & 0xff] ^ t3[s1 & 0xff] ^ rk[2];
+        const u32 n3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xff] ^
+                       t2[(s1 >> 8) & 0xff] ^ t3[s2 & 0xff] ^ rk[3];
+        s0 = n0;
+        s1 = n1;
+        s2 = n2;
+        s3 = n3;
     }
-    subBytes(block);
-    shiftRows(block);
-    addRoundKey(block, roundKeys_.data() + 160);
+    // Final round: SubBytes + ShiftRows, no MixColumns.
+    rk += 4;
+    auto last = [](u32 a, u32 b, u32 c, u32 d) {
+        return (u32{kSbox[a >> 24]} << 24) |
+               (u32{kSbox[(b >> 16) & 0xff]} << 16) |
+               (u32{kSbox[(c >> 8) & 0xff]} << 8) | kSbox[d & 0xff];
+    };
+    store32be(block, last(s0, s1, s2, s3) ^ rk[0]);
+    store32be(block + 4, last(s1, s2, s3, s0) ^ rk[1]);
+    store32be(block + 8, last(s2, s3, s0, s1) ^ rk[2]);
+    store32be(block + 12, last(s3, s0, s1, s2) ^ rk[3]);
 }
 
 void
 Aes128::decryptBlock(u8 *block) const
 {
-    addRoundKey(block, roundKeys_.data() + 160);
+    addRoundKey(block, roundKeys_.data() + 40);
     for (int r = 9; r >= 1; --r) {
         invShiftRows(block);
         invSubBytes(block);
-        addRoundKey(block, roundKeys_.data() + 16 * r);
+        addRoundKey(block, roundKeys_.data() + 4 * r);
         invMixColumns(block);
     }
     invShiftRows(block);

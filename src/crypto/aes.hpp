@@ -63,8 +63,9 @@ class Aes128
                     u64 byte_offset) const;
 
   private:
-    /** Round keys: 11 x 16 bytes. */
-    std::array<u8, 176> roundKeys_;
+    /** Round keys: 11 x 4 column words, big-endian (row 0 in the top
+     *  byte). */
+    std::array<u32, 44> roundKeys_;
 };
 
 } // namespace rev::crypto

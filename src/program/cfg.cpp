@@ -1,10 +1,6 @@
 #include "program/cfg.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
-#include <unordered_set>
 
 #include "common/logging.hpp"
 #include "isa/codec.hpp"
@@ -46,19 +42,18 @@ termKindOf(InstrClass c)
 const BasicBlock *
 Cfg::blockAtStart(Addr start) const
 {
-    auto it = byStart_.find(start);
-    return it == byStart_.end() ? nullptr : &blocks_[it->second];
+    const auto it = std::lower_bound(starts_.begin(), starts_.end(), start);
+    if (it == starts_.end() || *it != start)
+        return nullptr;
+    return &blocks_[startIds_[it - starts_.begin()]];
 }
 
-std::vector<const BasicBlock *>
+std::span<const u32>
 Cfg::blocksAtTerm(Addr term) const
 {
-    std::vector<const BasicBlock *> out;
-    auto it = byTerm_.find(term);
-    if (it != byTerm_.end())
-        for (u32 id : it->second)
-            out.push_back(&blocks_[id]);
-    return out;
+    const auto [lo, hi] = std::equal_range(terms_.begin(), terms_.end(), term);
+    return {termIds_.data() + (lo - terms_.begin()),
+            static_cast<std::size_t>(hi - lo)};
 }
 
 CfgStats
@@ -66,18 +61,19 @@ Cfg::stats() const
 {
     CfgStats s;
     s.numBlocks = blocks_.size();
-    s.numTerminators = byTerm_.size();
     u64 instrs = 0, succs = 0;
-    std::set<Addr> seen_terms;
     for (const auto &bb : blocks_) {
         instrs += bb.numInstrs;
         succs += bb.succs.size();
-        if (seen_terms.insert(bb.term).second) {
-            ++s.numBranchInstrs;
-            if (termIsComputed(bb.kind))
-                ++s.numComputedSites;
-        }
     }
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+        if (i > 0 && terms_[i] == terms_[i - 1])
+            continue;
+        ++s.numTerminators;
+        if (termIsComputed(blocks_[termIds_[i]].kind))
+            ++s.numComputedSites;
+    }
+    s.numBranchInstrs = s.numTerminators;
     if (!blocks_.empty()) {
         s.avgInstrsPerBlock = static_cast<double>(instrs) / blocks_.size();
         s.avgSuccsPerBlock = static_cast<double>(succs) / blocks_.size();
@@ -86,38 +82,51 @@ Cfg::stats() const
 }
 
 Cfg
-buildCfg(const Module &mod, const SplitLimits &limits)
+Cfg::derive(const Module &mod, const SplitLimits &limits)
 {
     Cfg cfg;
     cfg.limits_ = limits;
 
     // ---- pass 1: linear decode of the code region -----------------------
     // The code region is contiguous, so flat offset-indexed arrays replace
-    // tree searches on the per-instruction hot paths below.
+    // tree searches on the per-instruction hot paths below. Each
+    // instruction start records its length and a class byte; the walks
+    // below never decode again except at terminators.
+    constexpr u8 kWritesMem = 0x80;
     const std::size_t code_size = mod.codeSize;
-    std::vector<Instr> instrs(code_size);
-    std::vector<u8> is_instr(code_size, 0);
-    {
-        Addr pc = mod.base;
-        while (pc < mod.codeEnd()) {
-            const std::size_t off = pc - mod.base;
-            auto ins = isa::decode(mod.image.data() + off,
-                                   code_size - off);
-            if (!ins)
-                fatal("buildCfg: undecodable code in '", mod.name,
-                      "' at offset ", off);
-            instrs[off] = *ins;
-            is_instr[off] = 1;
-            pc += ins->length();
-        }
+    std::vector<u8> len_at(code_size, 0); ///< 0: not an instruction start
+    std::vector<u8> info_at(code_size);   ///< InstrClass | kWritesMem
+    std::vector<u8> is_leader(code_size, 0);
+    std::vector<Addr> direct_targets; ///< of branches/jumps/calls, in order
+    auto decode_at = [&](std::size_t off) {
+        auto ins = isa::decode(mod.image.data() + off, code_size - off);
+        if (!ins)
+            fatal("buildCfg: undecodable code in '", mod.name,
+                  "' at offset ", off);
+        return *ins;
+    };
+    for (std::size_t off = 0; off < code_size;) {
+        const Instr ins = decode_at(off);
+        const InstrClass k = ins.klass();
+        const unsigned len = ins.length();
+        len_at[off] = static_cast<u8>(len);
+        info_at[off] =
+            static_cast<u8>(static_cast<u8>(k) | (ins.writesMem() ? kWritesMem : 0));
+        if (k == InstrClass::Branch || k == InstrClass::Jump ||
+            k == InstrClass::Call)
+            direct_targets.push_back(ins.directTarget(mod.base + off));
+        // A control transfer's fall-through (the next instruction, if
+        // any) starts a block.
+        if (isa::classIsControlFlow(k) && off + len < code_size)
+            is_leader[off + len] = 1;
+        off += len;
     }
 
     auto instr_exists = [&](Addr a) {
-        return a >= mod.base && a < mod.codeEnd() && is_instr[a - mod.base];
+        return a >= mod.base && a < mod.codeEnd() && len_at[a - mod.base];
     };
 
     // ---- pass 2: leader discovery ---------------------------------------
-    std::vector<u8> is_leader(code_size, 0);
     auto add_leader = [&](Addr a, const char *why) {
         if (!instr_exists(a))
             fatal("buildCfg: '", mod.name, "': ", why, " target 0x",
@@ -127,27 +136,8 @@ buildCfg(const Module &mod, const SplitLimits &limits)
 
     if (mod.codeSize > 0)
         add_leader(mod.entry, "entry");
-
-    for (std::size_t off = 0; off < code_size; ++off) {
-        if (!is_instr[off])
-            continue;
-        const Addr pc = mod.base + off;
-        const Instr &ins = instrs[off];
-        switch (ins.klass()) {
-          case InstrClass::Branch:
-          case InstrClass::Jump:
-          case InstrClass::Call:
-            add_leader(ins.directTarget(pc), "direct branch");
-            break;
-          default:
-            break;
-        }
-        if (ins.isControlFlow()) {
-            const Addr ft = ins.fallThrough(pc);
-            if (instr_exists(ft))
-                is_leader[ft - mod.base] = 1;
-        }
-    }
+    for (Addr t : direct_targets)
+        add_leader(t, "direct branch");
     for (const auto &[site, targets] : mod.indirectTargets) {
         if (!instr_exists(site))
             fatal("buildCfg: '", mod.name, "': indirect annotation site 0x",
@@ -163,175 +153,197 @@ buildCfg(const Module &mod, const SplitLimits &limits)
     // ---- pass 3: walk each leader to its terminator ----------------------
     // Walking may create artificial-split fall-through leaders; use a
     // worklist. Leaders seed it in ascending address order (block IDs — and
-    // thus table layout — depend on it).
-    std::deque<Addr> work;
+    // thus table layout — depend on it). Every start enters the worklist
+    // once: split fall-throughs only when not already queued.
+    std::vector<Addr> work;
     std::vector<u8> queued = is_leader;
     for (std::size_t off = 0; off < code_size; ++off)
         if (is_leader[off])
             work.push_back(mod.base + off);
+    cfg.blocks_.reserve(work.size());
 
-    while (!work.empty()) {
-        const Addr start = work.front();
-        work.pop_front();
-        if (cfg.byStart_.count(start))
-            continue;
-
+    for (std::size_t w = 0; w < work.size(); ++w) {
         BasicBlock bb;
         bb.id = static_cast<u32>(cfg.blocks_.size());
-        bb.start = start;
+        bb.start = work[w];
 
-        Addr pc = start;
+        Addr pc = bb.start;
         while (true) {
             if (!instr_exists(pc))
                 fatal("buildCfg: '", mod.name, "': control falls off the ",
                       "end of code at 0x", std::hex, pc);
-            const Instr &ins = instrs[pc - mod.base];
+            const std::size_t off = pc - mod.base;
+            const InstrClass k = static_cast<InstrClass>(info_at[off] &
+                                                         ~kWritesMem);
             ++bb.numInstrs;
-            if (ins.writesMem())
+            if (info_at[off] & kWritesMem)
                 ++bb.numStores;
 
-            if (ins.isControlFlow()) {
+            if (isa::classIsControlFlow(k)) {
                 bb.term = pc;
-                bb.end = ins.fallThrough(pc);
-                bb.kind = termKindOf(ins.klass());
+                bb.end = pc + len_at[off];
+                bb.kind = termKindOf(k);
                 break;
             }
             if (bb.numInstrs >= limits.maxInstrs ||
                 bb.numStores >= limits.maxStores) {
                 bb.term = pc;
-                bb.end = ins.fallThrough(pc);
+                bb.end = pc + len_at[off];
                 bb.kind = TermKind::Split;
                 break;
             }
-            pc = ins.fallThrough(pc);
+            pc += len_at[off];
         }
 
-        if (bb.kind == TermKind::Split) {
+        // Successors are a property of the terminating instruction, so
+        // every (suffix) block ending at it gets the same list.
+        auto add_succ = [&bb](Addr target) {
+            if (std::find(bb.succs.begin(), bb.succs.end(), target) ==
+                bb.succs.end())
+                bb.succs.push_back(target);
+        };
+        switch (bb.kind) {
+          case TermKind::Branch:
+            add_succ(decode_at(bb.term - mod.base).directTarget(bb.term));
+            add_succ(bb.end);
+            break;
+          case TermKind::Jump:
+          case TermKind::Call:
+            add_succ(decode_at(bb.term - mod.base).directTarget(bb.term));
+            break;
+          case TermKind::CallIndirect:
+          case TermKind::JumpIndirect: {
+            auto it = mod.indirectTargets.find(bb.term);
+            if (it != mod.indirectTargets.end())
+                for (Addr t : it->second)
+                    add_succ(t);
+            break;
+          }
+          case TermKind::Split: {
+            add_succ(bb.end);
             // A split's fall-through may sit past the code end; queue it
             // anyway so the walk reports the fall-off error.
-            const bool in_code = bb.end >= mod.base && bb.end < mod.codeEnd();
+            const bool in_code =
+                bb.end >= mod.base && bb.end < mod.codeEnd();
             if (!in_code || !queued[bb.end - mod.base]) {
                 if (in_code)
                     queued[bb.end - mod.base] = 1;
                 work.push_back(bb.end);
             }
+            break;
+          }
+          case TermKind::Return:
+          case TermKind::Halt:
+            break; // returns are linked by linkCfgs; halt has no successor
         }
-
-        cfg.byStart_[start] = bb.id;
-        cfg.byTerm_[bb.term].push_back(bb.id);
         cfg.blocks_.push_back(std::move(bb));
     }
 
-    // ---- pass 4: successor sets per terminator ---------------------------
-    // Successors are a property of the terminating instruction, shared by
-    // every (suffix) block ending at it.
-    std::map<Addr, std::vector<Addr>> term_succs;
-
-    auto add_succ = [&](Addr term, Addr target) {
-        auto &v = term_succs[term];
-        if (std::find(v.begin(), v.end(), target) == v.end())
-            v.push_back(target);
-    };
-
-    for (const auto &[term, ids] : cfg.byTerm_) {
-        const BasicBlock &bb = cfg.blocks_[ids.front()];
-        const Instr &ins = instrs[term - mod.base];
-        switch (bb.kind) {
-          case TermKind::Branch:
-            add_succ(term, ins.directTarget(term));
-            add_succ(term, bb.end);
-            break;
-          case TermKind::Jump:
-          case TermKind::Call:
-            add_succ(term, ins.directTarget(term));
-            break;
-          case TermKind::CallIndirect:
-          case TermKind::JumpIndirect: {
-            auto it = mod.indirectTargets.find(term);
-            if (it != mod.indirectTargets.end())
-                for (Addr t : it->second)
-                    add_succ(term, t);
-            break;
-          }
-          case TermKind::Split:
-            add_succ(term, bb.end);
-            break;
-          case TermKind::Return:
-          case TermKind::Halt:
-            break; // returns handled below; halt has no successor
+    // ---- indices ----------------------------------------------------------
+    // Sorted (key, block index) pairs, split into key and index arrays.
+    std::vector<std::pair<Addr, u32>> keyed(cfg.blocks_.size());
+    auto build_index = [&](auto key_of, std::vector<Addr> &keys,
+                           std::vector<u32> &ids) {
+        for (const BasicBlock &bb : cfg.blocks_)
+            keyed[bb.id] = {key_of(bb), bb.id};
+        std::sort(keyed.begin(), keyed.end());
+        keys.resize(keyed.size());
+        ids.resize(keyed.size());
+        for (std::size_t i = 0; i < keyed.size(); ++i) {
+            keys[i] = keyed[i].first;
+            ids[i] = keyed[i].second;
         }
-    }
+    };
+    build_index([](const BasicBlock &bb) { return bb.start; }, cfg.starts_,
+                cfg.startIds_);
+    build_index([](const BasicBlock &bb) { return bb.term; }, cfg.terms_,
+                cfg.termIds_);
+    return cfg;
+}
 
-    // ---- finalize ---------------------------------------------------------
-    for (auto &bb : cfg.blocks_) {
-        auto sit = term_succs.find(bb.term);
-        if (sit != term_succs.end())
-            bb.succs = sit->second;
-    }
-
-    // Return-site analysis for this module in isolation; SigStore re-runs
-    // it program-wide once every module's CFG exists.
+Cfg
+buildCfg(const Module &mod, const SplitLimits &limits)
+{
+    Cfg cfg = Cfg::derive(mod, limits);
     linkCfgs({&cfg});
     return cfg;
+}
+
+std::vector<Cfg>
+buildCfgs(const std::vector<Module> &modules, const SplitLimits &limits)
+{
+    std::vector<Cfg> cfgs;
+    cfgs.reserve(modules.size());
+    std::vector<Cfg *> ptrs;
+    for (const Module &mod : modules) {
+        cfgs.push_back(Cfg::derive(mod, limits));
+        ptrs.push_back(&cfgs.back());
+    }
+    linkCfgs(ptrs);
+    return cfgs;
 }
 
 void
 linkCfgs(const std::vector<Cfg *> &cfgs)
 {
-    // Global indices across all modules (module address ranges are
-    // disjoint, so starts and terminators are unique program-wide).
-    struct Ref
-    {
-        Cfg *cfg;
-        u32 idx;
-    };
-    // Hash containers: every traversal below iterates blocks_/worklists,
-    // never these indices, so edge order stays deterministic.
-    std::unordered_map<Addr, Ref> by_start;
-    std::unordered_map<Addr, std::vector<Ref>> by_term;
-
-    for (Cfg *cfg : cfgs) {
-        for (auto &bb : cfg->blocks_) {
+    // Blocks are numbered program-wide: block i of cfgs[k] is node
+    // first[k] + i. Module address ranges are disjoint, so a start or a
+    // terminator names one block (or terminator group) program-wide.
+    std::vector<u32> first(cfgs.size() + 1, 0);
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+        for (auto &bb : cfgs[k]->blocks_) {
             // Reset any previous return-edge information (idempotence).
             if (bb.kind == TermKind::Return)
                 bb.succs.clear();
             bb.retPreds.clear();
         }
-        for (const auto &[start, idx] : cfg->byStart_)
-            by_start.emplace(start, Ref{cfg, idx});
-        for (const auto &[term, ids] : cfg->byTerm_)
-            for (u32 id : ids)
-                by_term[term].push_back(Ref{cfg, id});
+        first[k + 1] =
+            first[k] + static_cast<u32>(cfgs[k]->blocks_.size());
     }
+    constexpr u32 kNone = ~u32{0};
 
-    auto block_at = [&](Addr start) -> BasicBlock * {
-        auto it = by_start.find(start);
-        return it == by_start.end() ? nullptr
-                                    : &it->second.cfg->blocks_[it->second.idx];
+    /** Node of the block starting at @p start; kNone if none. */
+    auto node_at = [&](Addr start, BasicBlock **bb) -> u32 {
+        for (std::size_t k = 0; k < cfgs.size(); ++k) {
+            const Cfg &c = *cfgs[k];
+            const auto it =
+                std::lower_bound(c.starts_.begin(), c.starts_.end(), start);
+            if (it != c.starts_.end() && *it == start) {
+                const u32 id = c.startIds_[it - c.starts_.begin()];
+                *bb = &cfgs[k]->blocks_[id];
+                return first[k] + id;
+            }
+        }
+        return kNone;
     };
 
     // RET instructions reachable intra-procedurally from a function entry,
-    // following edges across modules.
-    std::unordered_map<Addr, std::vector<Addr>> rets_of_entry;
-    auto reachable_rets = [&](Addr entry) -> const std::vector<Addr> & {
-        auto memo = rets_of_entry.find(entry);
-        if (memo != rets_of_entry.end())
-            return memo->second;
+    // following edges across modules, memoized per entry node as a range
+    // of ret_pool.
+    std::vector<Addr> ret_pool;
+    std::vector<std::pair<u32, u32>> rets_of(first.back(), {kNone, 0});
+    std::vector<u32> visited(first.back(), 0);
+    u32 bfs_epoch = 0;
+    std::vector<Addr> bfs;
+    auto reachable_rets = [&](Addr entry) -> std::pair<u32, u32> {
+        BasicBlock *bb = nullptr;
+        const u32 root = node_at(entry, &bb);
+        if (root == kNone)
+            return {0, 0}; // target outside every known module
+        if (rets_of[root].first != kNone)
+            return rets_of[root];
 
-        std::vector<Addr> rets;
-        std::unordered_set<Addr> visited;
-        std::deque<Addr> bfs{entry};
-        while (!bfs.empty()) {
-            const Addr s = bfs.front();
-            bfs.pop_front();
-            if (!visited.insert(s).second)
+        const u32 begin = static_cast<u32>(ret_pool.size());
+        ++bfs_epoch;
+        bfs.assign(1, entry);
+        for (std::size_t head = 0; head < bfs.size(); ++head) {
+            const u32 node = node_at(bfs[head], &bb);
+            if (node == kNone || visited[node] == bfs_epoch)
                 continue;
-            const BasicBlock *bb = block_at(s);
-            if (!bb)
-                continue; // target outside every known module
+            visited[node] = bfs_epoch;
             switch (bb->kind) {
               case TermKind::Return:
-                rets.push_back(bb->term);
+                ret_pool.push_back(bb->term);
                 break;
               case TermKind::Halt:
                 break;
@@ -341,35 +353,39 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
                 bfs.push_back(bb->end);
                 break;
               default:
-                for (Addr t : bb->succs)
-                    bfs.push_back(t);
+                bfs.insert(bfs.end(), bb->succs.begin(), bb->succs.end());
                 break;
             }
         }
-        return rets_of_entry.emplace(entry, std::move(rets)).first->second;
+        rets_of[root] = {begin, static_cast<u32>(ret_pool.size())};
+        return rets_of[root];
     };
 
-    // Visit every call site once (by terminator address).
-    std::unordered_set<Addr> call_terms_seen;
-    for (Cfg *cfg : cfgs) {
-        for (const auto &bb : cfg->blocks_) {
+    // Visit every call site once, by terminator address: only the first
+    // (lowest-index) block ending at it.
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+        for (const auto &bb : cfgs[k]->blocks_) {
             if (bb.kind != TermKind::Call &&
                 bb.kind != TermKind::CallIndirect)
                 continue;
-            if (!call_terms_seen.insert(bb.term).second)
+            if (cfgs[k]->blocksAtTerm(bb.term).front() != bb.id)
                 continue;
             const Addr return_site = bb.end;
-            BasicBlock *rb = block_at(return_site);
-            if (!rb)
+            BasicBlock *rb = nullptr;
+            if (node_at(return_site, &rb) == kNone)
                 continue;
             for (Addr entry : bb.succs) {
-                for (Addr r : reachable_rets(entry)) {
+                const auto [begin, end] = reachable_rets(entry);
+                for (u32 i = begin; i < end; ++i) {
+                    const Addr r = ret_pool[i];
                     // The RET may transfer to this call's return site.
-                    for (const Ref &ref : by_term[r]) {
-                        auto &succs = ref.cfg->blocks_[ref.idx].succs;
-                        if (std::find(succs.begin(), succs.end(),
-                                      return_site) == succs.end())
-                            succs.push_back(return_site);
+                    for (Cfg *c : cfgs) {
+                        for (u32 id : c->blocksAtTerm(r)) {
+                            auto &succs = c->blocks_[id].succs;
+                            if (std::find(succs.begin(), succs.end(),
+                                          return_site) == succs.end())
+                                succs.push_back(return_site);
+                        }
                     }
                     auto &preds = rb->retPreds;
                     if (std::find(preds.begin(), preds.end(), r) ==

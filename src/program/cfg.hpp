@@ -20,7 +20,7 @@
 #ifndef REV_PROGRAM_CFG_HPP
 #define REV_PROGRAM_CFG_HPP
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "program/module.hpp"
@@ -109,8 +109,12 @@ class Cfg
     /** Block whose entry point is @p start; nullptr if not a valid entry. */
     const BasicBlock *blockAtStart(Addr start) const;
 
-    /** All blocks terminated by the instruction at @p term. */
-    std::vector<const BasicBlock *> blocksAtTerm(Addr term) const;
+    /**
+     * Indices into blocks() of every block terminated by the instruction
+     * at @p term, ascending; empty if none. A view into the CFG's own
+     * index: valid as long as the CFG is.
+     */
+    std::span<const u32> blocksAtTerm(Addr term) const;
 
     /** The split limits the analysis used (front end must match them). */
     const SplitLimits &splitLimits() const { return limits_; }
@@ -119,11 +123,21 @@ class Cfg
 
   private:
     friend Cfg buildCfg(const Module &mod, const SplitLimits &limits);
+    friend std::vector<Cfg> buildCfgs(const std::vector<Module> &modules,
+                                      const SplitLimits &limits);
     friend void linkCfgs(const std::vector<Cfg *> &cfgs);
 
+    /** Blocks and successor sets of @p mod, without return edges. */
+    static Cfg derive(const Module &mod, const SplitLimits &limits);
+
     std::vector<BasicBlock> blocks_;
-    std::unordered_map<Addr, u32> byStart_;
-    std::unordered_map<Addr, std::vector<u32>> byTerm_;
+    // Flat sorted indices. Block startIds_[i] starts at starts_[i]
+    // (ascending); block termIds_[i] ends at terms_[i], ordered by
+    // (terminator, block index).
+    std::vector<Addr> starts_;
+    std::vector<u32> startIds_;
+    std::vector<Addr> terms_;
+    std::vector<u32> termIds_;
     SplitLimits limits_;
 };
 
@@ -133,11 +147,19 @@ class Cfg
  * code is a fatal error. Computed-transfer sites with no annotated targets
  * are allowed here but will be flagged by the signature builder.
  *
- * Return-site analysis is run for the module in isolation; when a program
- * links several modules, call linkCfgs() over all of them so returns that
- * cross module boundaries resolve (the trusted linker's job, Sec. IV.B).
+ * Return-site analysis is run for the module in isolation. For a program
+ * that links several modules use buildCfgs(), so returns that cross
+ * module boundaries resolve (the trusted linker's job, Sec. IV.B).
  */
 Cfg buildCfg(const Module &mod, const SplitLimits &limits = {});
+
+/**
+ * Build the reference CFGs of all of a program's @p modules and run the
+ * program-wide return-site analysis over them once. For a single module
+ * the result equals buildCfg().
+ */
+std::vector<Cfg> buildCfgs(const std::vector<Module> &modules,
+                           const SplitLimits &limits = {});
 
 /**
  * Program-level return-site analysis: recompute, across all modules, the

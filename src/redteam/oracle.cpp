@@ -348,7 +348,7 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
                  ctx->protos.at(modes.front())->moduleSigs()) {
                 if (ms.module->base != mm.base)
                     continue;
-                for (const prog::BasicBlock &bb : ms.cfg.blocks()) {
+                for (const prog::BasicBlock &bb : ms.cfg->blocks()) {
                     const auto it = exec_pos.find(bb.start);
                     if (it == exec_pos.end())
                         continue; // block never entered, never digested

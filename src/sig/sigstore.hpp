@@ -13,6 +13,7 @@
 #ifndef REV_SIG_SIGSTORE_HPP
 #define REV_SIG_SIGSTORE_HPP
 
+#include <memory>
 #include <vector>
 
 #include "common/random.hpp"
@@ -26,17 +27,18 @@ namespace rev::sig
 /** RAM region where signature tables are placed (above heap and stack). */
 inline constexpr Addr kSigTableRegion = 0x20000000;
 
+/** A program's CFGs, linked once and shared by every store built from
+ *  them (sigstore.cpp). */
+struct ProgramAnalysis;
+
 /** Everything REV needs to know about one module's signatures. */
 struct ModuleSig
 {
     const prog::Module *module = nullptr;
-    prog::Cfg cfg;
+    /** The module's reference CFG, owned by the store's shared analysis. */
+    const prog::Cfg *cfg = nullptr;
     Addr tableBase = 0;
     TableStats stats;
-    /** bbHash() per cfg block (empty in CFI-only mode). Kept so stores
-     *  built for other modes can reuse them — hashing every block is the
-     *  dominant table-build cost and is mode-independent. */
-    std::vector<u32> blockHashes;
 };
 
 /**
@@ -54,8 +56,9 @@ class SigStore
      * @param vault     CPU key vault the tables are bound to.
      * @param seed      Seeds per-module key generation.
      * @param cfg_donor Optional store built for the same program and split
-     *                  limits (any mode): its already-derived CFGs are
-     *                  copied instead of re-derived. CFG derivation is
+     *                  limits (any mode): its analysis (CFGs, and block
+     *                  hashes when built with the same rounds) is shared
+     *                  instead of re-derived. The analysis is
      *                  mode-independent, so the resulting tables are
      *                  byte-identical either way.
      */
@@ -82,7 +85,9 @@ class SigStore
      * Point future rebuild()s at @p vault. A copied store (e.g. one
      * cloned from a shared prototype) still references its builder's
      * vault; the copy's owner rebinds it to a vault with the same fuses
-     * so the copy has no lifetime ties to the prototype's owner.
+     * so the copy has no lifetime ties to the prototype's owner. Copies
+     * are shallow: the analysis and the table images are immutable and
+     * shared, and a rebuild() replaces rather than mutates them.
      */
     void rebindVault(const crypto::KeyVault &vault) { vault_ = &vault; }
 
@@ -107,8 +112,12 @@ class SigStore
     u64 seed_;
     prog::SplitLimits limits_;
     u64 generation_ = 0; ///< bumps each rebuild (fresh keys/nonces)
+    std::shared_ptr<const ProgramAnalysis> analysis_;
+    /** bbHash() per block of each module's CFG, at hashRounds_; null
+     *  until a Full or Aggressive build needs them. */
+    std::shared_ptr<const std::vector<std::vector<u32>>> blockHashes_;
     std::vector<ModuleSig> sigs_;
-    std::vector<std::vector<u8>> images_;
+    std::shared_ptr<const std::vector<std::vector<u8>>> images_;
 };
 
 } // namespace rev::sig

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 
 #include "common/logging.hpp"
 #include "crypto/cubehash.hpp"
@@ -199,11 +197,12 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
     if (mode == ValidationMode::CfiOnly) {
         // One (site, target) record per legitimate transfer of computed
         // sites and returns; code hashes are not validated (Sec. V.D).
-        std::set<Addr> seen_terms;
+        // Blocks sharing a terminator share its targets: emit them once,
+        // at the terminator's first block.
         for (const auto &bb : cfg.blocks()) {
-            if (!seen_terms.insert(bb.term).second)
-                continue;
             if (!termIsComputed(bb.kind) && bb.kind != TermKind::Return)
+                continue;
+            if (cfg.blocksAtTerm(bb.term).front() != bb.id)
                 continue;
             for (Addr t : bb.succs) {
                 Logical e{};

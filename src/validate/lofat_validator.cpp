@@ -90,8 +90,8 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));
     }
-    const std::vector<const prog::BasicBlock *> blocks =
-        ms->cfg.blocksAtTerm(info.term);
+    const prog::Cfg &cfg = *ms->cfg;
+    const std::span<const u32> blocks = cfg.blocksAtTerm(info.term);
     if (blocks.empty()) {
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));
@@ -103,16 +103,17 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     bool edge_ok = false;
     bool any_successor = false;
     bool is_return = false;
-    for (const prog::BasicBlock *b : blocks) {
-        if (b->kind == TermKind::Halt) {
+    for (u32 id : blocks) {
+        const prog::BasicBlock &b = cfg.blocks()[id];
+        if (b.kind == TermKind::Halt) {
             edge_ok = true;
             continue;
         }
         any_successor = true;
-        if (b->kind == TermKind::Return)
+        if (b.kind == TermKind::Return)
             is_return = true;
-        if (std::find(b->succs.begin(), b->succs.end(), actual_target) !=
-            b->succs.end())
+        if (std::find(b.succs.begin(), b.succs.end(), actual_target) !=
+            b.succs.end())
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

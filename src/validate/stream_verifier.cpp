@@ -316,12 +316,15 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
     auto memo = lofatBlocks_.find(ev.term);
     if (memo == lofatBlocks_.end()) {
         const std::size_t shard = refs_.shardFor(ev.term);
-        std::vector<const prog::BasicBlock *> found;
-        if (shard != kNoShard)
-            found = refs_.moduleSig(shard).cfg.blocksAtTerm(ev.term);
-        memo = lofatBlocks_.emplace(ev.term, std::move(found)).first;
+        LofatBlocks found;
+        if (shard != kNoShard) {
+            found.cfg = refs_.moduleSig(shard).cfg;
+            found.ids = found.cfg->blocksAtTerm(ev.term);
+        }
+        memo = lofatBlocks_.emplace(ev.term, found).first;
     }
-    const std::vector<const prog::BasicBlock *> &blocks = memo->second;
+    const prog::Cfg *cfg = memo->second.cfg;
+    const std::span<const u32> blocks = memo->second.ids;
     if (blocks.empty()) {
         ++verdict_.unattestedBlocks;
         violation(ev, verdict::reasonUnattested(ev.term));
@@ -331,15 +334,16 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
     bool edge_ok = false;
     bool any_successor = false;
     bool is_return = false;
-    for (const prog::BasicBlock *b : blocks) {
-        if (b->kind == TermKind::Halt) {
+    for (u32 id : blocks) {
+        const prog::BasicBlock &b = cfg->blocks()[id];
+        if (b.kind == TermKind::Halt) {
             edge_ok = true;
             continue;
         }
         any_successor = true;
-        if (b->kind == TermKind::Return)
+        if (b.kind == TermKind::Return)
             is_return = true;
-        if (contains(b->succs, ev.target))
+        if (contains(b.succs, ev.target))
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

@@ -34,6 +34,7 @@
 #define REV_VALIDATE_STREAM_VERIFIER_HPP
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -208,9 +209,13 @@ class StreamVerifier
     std::vector<Addr> shadowStack_;
 
     // --- LO-FAT session state (mirrors LoFatValidator) ------------------
-    // Per-session memo of cfg.blocksAtTerm so loops cost one CFG walk.
-    std::unordered_map<Addr, std::vector<const prog::BasicBlock *>>
-        lofatBlocks_;
+    // Per-session memo of cfg.blocksAtTerm so loops cost one CFG search.
+    struct LofatBlocks
+    {
+        const prog::Cfg *cfg = nullptr;
+        std::span<const u32> ids; ///< into cfg->blocks()
+    };
+    std::unordered_map<Addr, LofatBlocks> lofatBlocks_;
     crypto::Digest chain_{};
     unsigned bufferUsed_ = 0;
     bool spillPending_ = false;

@@ -165,7 +165,7 @@ TEST(WalkNeeds, EarlyExitShortensSpillWalks)
     const auto &ms = store.moduleSigs().front();
     sig::TableReader reader(mem, ms.tableBase, vault);
 
-    const auto *bb = ms.cfg.blockAtStart(p.main().base);
+    const auto *bb = ms.cfg->blockAtStart(p.main().base);
     ASSERT_NE(bb, nullptr);
     const u32 hash = sig::bbHash(p.main(), *bb, 5);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/random.hpp"
@@ -127,6 +128,62 @@ TEST(Aes128, CtrNonMultipleOf16Length)
     aes.ctrCrypt(data, 9);
     aes.ctrCrypt(data, 9);
     EXPECT_EQ(data, orig);
+}
+
+/** FNV-1a 64 of @p data, for pinning keystream bytes. */
+u64
+fnv1a(const std::vector<u8> &data)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    for (u8 b : data) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+AesKey
+pinKey()
+{
+    AesKey key;
+    for (int i = 0; i < 16; ++i)
+        key[i] = static_cast<u8>(0x3c + 17 * i);
+    return key;
+}
+
+TEST(Aes128, CtrStreamIsPinned)
+{
+    // A 1 MiB keystream (CTR over zeros), pinned from the reference
+    // byte-wise implementation: any change to the round function, the
+    // key schedule or the counter-block layout moves it.
+    const Aes128 aes(pinKey());
+    std::vector<u8> stream(1u << 20, 0);
+    aes.ctrCrypt(stream, 0x0123456789abcdefULL);
+    EXPECT_EQ(fnv1a(stream), 0x5f0caed2a503486cULL);
+}
+
+TEST(Aes128, CtrCryptAtUnalignedSlicesArePinned)
+{
+    // Slices that start mid-block and straddle one or more block
+    // boundaries, as the table walker decrypts single records.
+    const Aes128 aes(pinKey());
+    const u64 nonce = 0xfeedfacecafebeefULL;
+    std::vector<u8> full(4096, 0);
+    aes.ctrCrypt(full, nonce);
+
+    const std::pair<u64, std::size_t> slices[] = {
+        {1, 15}, {1, 16}, {7, 11}, {15, 2}, {15, 33}, {17, 17},
+        {31, 1}, {33, 64}, {100, 150}, {4000, 96}, {4095, 1}};
+    std::vector<u8> all;
+    for (const auto &[off, len] : slices) {
+        std::vector<u8> slice(len, 0);
+        aes.ctrCryptAt(slice.data(), slice.size(), nonce, off);
+        ASSERT_TRUE(std::equal(slice.begin(), slice.end(),
+                               full.begin() + static_cast<long>(off)))
+            << "off=" << off << " len=" << len;
+        all.insert(all.end(), slice.begin(), slice.end());
+    }
+    EXPECT_EQ(fnv1a(all), 0x6427912ffd906042ULL);
 }
 
 } // namespace

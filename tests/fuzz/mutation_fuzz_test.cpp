@@ -163,7 +163,7 @@ TEST(TableWalkerRobustness, CorruptChainsNeverHang)
             continue;
         for (int q = 0; q < 50; ++q) {
             const auto &bb =
-                ms.cfg.blocks()[rng.below(ms.cfg.blocks().size())];
+                ms.cfg->blocks()[rng.below(ms.cfg->blocks().size())];
             (void)reader.lookup(bb.term,
                                 sig::bbHash(*ms.module, bb, 5),
                                 ms.module->base); // must terminate

@@ -63,7 +63,7 @@ TEST(SigStore, LoadedTablesAreReadable)
     for (const auto &sig : store.moduleSigs()) {
         TableReader reader(mem, sig.tableBase, vault);
         ASSERT_TRUE(reader.valid());
-        for (const auto &bb : sig.cfg.blocks()) {
+        for (const auto &bb : sig.cfg->blocks()) {
             EXPECT_TRUE(reader
                             .lookup(bb.term, bbHash(*sig.module, bb, 5), sig.module->base)
                             .found);
@@ -107,7 +107,7 @@ TEST(SigStore, PerModuleKeysDiffer)
     }
     TableReader reader(mem, s0.tableBase, vault);
     ASSERT_TRUE(reader.valid());
-    const auto &bb = s0.cfg.blocks().front();
+    const auto &bb = s0.cfg->blocks().front();
     const auto res = reader.lookup(bb.term, bbHash(*s0.module, bb, 5), s0.module->base);
     // With a foreign body decrypted under the wrong key, the walk cannot
     // produce this module's reference data.

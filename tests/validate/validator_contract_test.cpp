@@ -71,7 +71,7 @@ class Harness
 
     Validator &v() { return *validator_; }
     SparseMemory &mem() { return mem_; }
-    const prog::Cfg &cfg() const { return store_.moduleSigs()[0].cfg; }
+    const prog::Cfg &cfg() const { return *store_.moduleSigs()[0].cfg; }
     Addr entry() const { return program_.entry(); }
 
     /**

@@ -49,7 +49,7 @@ main(int argc, char **argv)
     sig::SigStore store(program, mode, vault);
 
     for (const auto &ms : store.moduleSigs()) {
-        const prog::CfgStats cs = ms.cfg.stats();
+        const prog::CfgStats cs = ms.cfg->stats();
         std::printf("\nmodule '%s' @0x%llx (%zu code bytes)\n",
                     ms.module->name.c_str(),
                     static_cast<unsigned long long>(ms.module->base),
@@ -85,7 +85,7 @@ main(int argc, char **argv)
             sig::TableReader reader(mem, ms.tableBase, vault);
             u64 ok = 0, walk_reads = 0;
             std::map<std::size_t, u64> read_histo;
-            for (const auto &bb : ms.cfg.blocks()) {
+            for (const auto &bb : ms.cfg->blocks()) {
                 const auto res = reader.lookup(
                     bb.term, sig::bbHash(*ms.module, bb, 5),
                     ms.module->base);
@@ -96,9 +96,9 @@ main(int argc, char **argv)
             std::printf("  verify: %llu/%zu entries reachable, %.2f reads "
                         "per lookup\n",
                         static_cast<unsigned long long>(ok),
-                        ms.cfg.blocks().size(),
+                        ms.cfg->blocks().size(),
                         static_cast<double>(walk_reads) /
-                            static_cast<double>(ms.cfg.blocks().size()));
+                            static_cast<double>(ms.cfg->blocks().size()));
             std::printf("  lookup-read histogram:");
             for (const auto &[reads, count] : read_histo)
                 std::printf(" %zu:%llu", reads,
